@@ -154,15 +154,14 @@ int main() {
   const auto fleet = data::GenerateSyntheticAvazu(fleet_config);
 
   // Serial-merge profile of the aggregation service, split into the
-  // accumulate kernel (FedAvg Adds / partial-sum flushes) vs admission
-  // bookkeeping (staleness, decode-failure accounting, staging). Read off
-  // the engine BEFORE it is destroyed.
+  // accumulate kernel (partial-sum flushes) vs admission bookkeeping
+  // (staleness, decode-failure accounting, staging). Read off the engine
+  // BEFORE it is destroyed.
   struct AggProfile {
     std::uint64_t accumulate_ns = 0;
     std::uint64_t bookkeeping_ns = 0;
   };
   auto timed_sharded = [&](std::size_t shards, flow::DecodePlane plane,
-                           cloud::AggregatePlane agg_plane,
                            core::FlRunResult* out,
                            AggProfile* profile = nullptr) {
     using namespace simdc;
@@ -181,7 +180,6 @@ int main() {
         {1}, 0.1, flow::kShardWidthInvariantCapacity};
     config.shards = shards;
     config.decode_plane = plane;
-    config.aggregate_plane = agg_plane;
     // Pin the pool width so ONLY the shard count varies between rows:
     // training parallelism is measured by the previous section, and a
     // per-row pool width would fold it into the shard column.
@@ -212,9 +210,8 @@ int main() {
   };
 
   core::FlRunResult unsharded;
-  const double t_one = timed_sharded(1, flow::DecodePlane::kLegacy,
-                                     cloud::AggregatePlane::kLegacy,
-                                     &unsharded);
+  const double t_one =
+      timed_sharded(1, flow::DecodePlane::kLegacy, &unsharded);
   bench::OpTimings::Instance().Record(
       "fig8_shards_1", static_cast<std::uint64_t>(t_one * 1e9));
   std::printf("%10s %10s %10s %12s\n", "shards", "wall s", "speedup",
@@ -226,8 +223,7 @@ int main() {
        {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
     core::FlRunResult sharded;
     const double t_n =
-        timed_sharded(shards, flow::DecodePlane::kLegacy,
-                      cloud::AggregatePlane::kLegacy, &sharded);
+        timed_sharded(shards, flow::DecodePlane::kLegacy, &sharded);
     bench::OpTimings::Instance().Record(
         "fig8_shards_" + std::to_string(shards),
         static_cast<std::uint64_t>(t_n * 1e9));
@@ -240,80 +236,30 @@ int main() {
   std::printf("Sharded fleets bit-identical to the unsharded run: %s\n",
               sharded_identical ? "REPRODUCED" : "NOT reproduced");
 
-  // --- Measured: decoded payload plane vs the legacy (serial-decode) ---
+  // --- Measured: decoded payload plane + partial-sum aggregation ---
   // Same fleet, decode_plane = kDecoded: dispatch ticks fetch + decode
-  // blobs (on shard workers when sharded) and the serial aggregator only
-  // admits + accumulates. The gate is hard bit-identity against the
-  // legacy unsharded reference at every width; wall time shows the serial
-  // fraction shrinking on multi-core machines. On a 1-core container the
-  // decoded rows at shard widths >= 2 run ~25-35% SLOWER than legacy —
-  // moving decode into the pool-advanced region buys nothing without
-  // cores and pays channel buffering + allocator contention — so read the
-  // speedup column as the honest price single-core machines pay for the
-  // multi-core win (see FlExperimentConfig::decode_plane).
+  // blobs (on shard workers when sharded), and the serial aggregator only
+  // admits and stages each update in O(1); staged updates flush through
+  // per-lane FedAvg partials merged in ascending lane order. The cascaded
+  // compensated accumulator makes the result order-invariant, so the gate
+  // is hard bit-identity against the serial-decode unsharded reference at
+  // every width. On a 1-core container the rows at shard widths >= 2 run
+  // slower than the reference — moving decode into the pool-advanced
+  // region buys nothing without cores and pays channel buffering +
+  // allocator contention (see FlExperimentConfig::decode_plane).
   bench::PrintHeader(
-      "Measured: decoded payload plane vs legacy (bit-identical results)");
-  std::printf("%10s %10s %14s %14s %12s\n", "shards", "wall s", "vs legacy-1",
-              "accum ms", "identical");
-  bench::PrintRule();
-  bool decoded_identical = true;
-  // Serial-accumulate profile of the LEGACY aggregate plane at each width —
-  // the "before" side of the partial-sum comparison below. The decoded rows
-  // are pinned to aggregate_plane = kLegacy so the inline per-message FedAvg
-  // Add (the last serial O(msgs*dim) loop) is what gets timed here.
-  AggProfile legacy_profile[9] = {};
-  for (const std::size_t shards :
-       {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-    core::FlRunResult decoded;
-    AggProfile profile;
-    const double t_n =
-        timed_sharded(shards, flow::DecodePlane::kDecoded,
-                      cloud::AggregatePlane::kLegacy, &decoded, &profile);
-    legacy_profile[shards] = profile;
-    bench::OpTimings::Instance().Record(
-        "fig8_decoded_shards_" + std::to_string(shards),
-        static_cast<std::uint64_t>(t_n * 1e9));
-    bench::OpTimings::Instance().Record(
-        "fig8_serial_accumulate_w" + std::to_string(shards),
-        profile.accumulate_ns);
-    bench::OpTimings::Instance().Record(
-        "fig8_serial_bookkeeping_w" + std::to_string(shards),
-        profile.bookkeeping_ns);
-    const bool identical = identical_runs(decoded, unsharded);
-    decoded_identical = decoded_identical && identical;
-    std::printf("%10zu %10.3f %13.2fx %14.3f %12s\n", shards, t_n,
-                t_n > 0 ? t_one / t_n : 0.0, profile.accumulate_ns / 1e6,
-                identical ? "yes" : "NO");
-  }
-  bench::PrintRule();
-  std::printf("Decoded plane bit-identical to the legacy plane: %s\n",
-              decoded_identical ? "REPRODUCED" : "NOT reproduced");
-
-  // --- Measured: partial-sum aggregate plane vs the serial merge ---
-  // Same decoded fleet, aggregate_plane = kPartialSum: decoded deliveries
-  // are staged O(1) at admission and flushed through per-lane FedAvg
-  // partials merged in ascending lane order. The cascaded compensated
-  // accumulator makes the result order-invariant, so the gate is hard
-  // bit-identity against the SAME legacy unsharded reference at every
-  // width. The accumulate column is the flush cost that replaces the
-  // legacy inline-Add column above; the >= 2x improvement gate at width 8
-  // is hard only on machines with >= 4 cores (a 1-core container runs the
-  // lanes sequentially and pays staging overhead instead — warn-only).
-  bench::PrintHeader(
-      "Measured: partial-sum aggregate plane (bit-identical results)");
-  std::printf("%10s %10s %14s %14s %12s\n", "shards", "wall s", "vs legacy-1",
+      "Measured: decoded plane + partial-sum aggregation (bit-identical "
+      "results)");
+  std::printf("%10s %10s %14s %14s %12s\n", "shards", "wall s", "vs serial-1",
               "accum ms", "identical");
   bench::PrintRule();
   bool partial_identical = true;
-  AggProfile partial_profile[9] = {};
   for (const std::size_t shards :
        {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
     core::FlRunResult partial;
     AggProfile profile;
     const double t_n =
-        timed_sharded(shards, flow::DecodePlane::kDecoded,
-                      cloud::AggregatePlane::kPartialSum, &partial, &profile);
-    partial_profile[shards] = profile;
+        timed_sharded(shards, flow::DecodePlane::kDecoded, &partial, &profile);
     bench::OpTimings::Instance().Record(
         "fig8_partial_shards_" + std::to_string(shards),
         static_cast<std::uint64_t>(t_n * 1e9));
@@ -330,23 +276,9 @@ int main() {
                 identical ? "yes" : "NO");
   }
   bench::PrintRule();
-  std::printf("Partial-sum plane bit-identical to the legacy plane: %s\n",
+  std::printf("Partial-sum plane bit-identical to the unsharded reference: "
+              "%s\n",
               partial_identical ? "REPRODUCED" : "NOT reproduced");
-  const double accumulate_speedup =
-      partial_profile[8].accumulate_ns > 0
-          ? static_cast<double>(legacy_profile[8].accumulate_ns) /
-                static_cast<double>(partial_profile[8].accumulate_ns)
-          : 0.0;
-  const bool multi_core = std::thread::hardware_concurrency() >= 4;
-  const bool accumulate_fast = accumulate_speedup >= 2.0;
-  std::printf("Serial-accumulate speedup at 8 shards: %.2fx (gate: >= 2x, %s"
-              " on %u-core)\n",
-              accumulate_speedup, multi_core ? "hard" : "warn-only",
-              std::thread::hardware_concurrency());
-  if (!accumulate_fast && !multi_core) {
-    std::printf("WARN: accumulate speedup below 2x — expected on < 4 cores, "
-                "not gating\n");
-  }
 
   // --- Measured: durability plane overhead (off vs log vs checkpoint) ---
   // The durable store turns every payload Put/Delete into a framed record
@@ -436,9 +368,7 @@ int main() {
 
   bench::EmitOpTimings();
   return shape_ok && deterministic && sharded_identical &&
-                 decoded_identical && partial_identical &&
-                 (accumulate_fast || !multi_core) && durable_identical &&
-                 durable_fast
+                 partial_identical && durable_identical && durable_fast
              ? 0
              : 1;
 }

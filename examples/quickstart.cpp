@@ -94,11 +94,6 @@ int main() {
   // shards. flow::DecodePlane::kLegacy decodes serially instead, with
   // bit-identical results.
   fl.decode_plane = flow::DecodePlane::kDecoded;
-  // Decoded updates accumulate as per-lane partial sums on the worker
-  // pool, merged in fixed ascending order; partial_sum is the default —
-  // cloud::AggregatePlane::kLegacy runs every add serially instead, with
-  // bit-identical results (the FedAvg cascade is order-invariant).
-  fl.aggregate_plane = cloud::AggregatePlane::kPartialSum;
   const auto result = platform.RunFlExperiment(dataset, fl);
   std::printf("\nfederated learning (%zu devices, %zu rounds, 2 fleet "
               "shards):\n",

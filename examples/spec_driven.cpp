@@ -54,7 +54,6 @@ backoff_max_s = 30
 parallelism = 2
 shards = 2
 decode_plane = decoded
-aggregate_plane = partial_sum
 round_quorum = 20
 round_deadline_s = 90
 round_extension_s = 30
@@ -158,11 +157,12 @@ int main(int argc, char** argv) {
     std::printf(
         "%s: completed %zu rounds — queue wait %.1fs, makespan %.1fs, "
         "round latency p50/p95/p99 %.1f/%.1f/%.1f s, retries %zu, "
-        "deadline drops %zu, degraded rounds %zu\n",
+        "deadline drops %zu, degraded rounds %zu, extended rounds %zu, "
+        "aborted rounds %zu\n",
         tenant.id.ToString().c_str(), sla.rounds, sla.queue_wait_s,
         sla.makespan_s, sla.round_latency_p50_s, sla.round_latency_p95_s,
         sla.round_latency_p99_s, sla.retries, sla.deadline_drops,
-        sla.rounds_degraded);
+        sla.rounds_degraded, sla.rounds_extended, sla.rounds_aborted);
     for (const auto& round : tenant.result.rounds) {
       std::printf("  round %zu @ %5.1fs: test acc %.4f, logloss %.4f\n",
                   round.round, ToSeconds(round.time), round.test_accuracy,

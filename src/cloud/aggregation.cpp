@@ -26,6 +26,7 @@ AggregationService::AggregationService(sim::EventLoop& loop,
                                        AggregationConfig config)
     : loop_(loop),
       storage_(storage),
+      decoder_(storage),
       config_(config),
       aggregator_(config.model_dim),
       global_model_(config.model_dim) {
@@ -102,25 +103,24 @@ void AggregationService::Deliver(const flow::Message& message,
 
 void AggregationService::DeliverBatch(std::span<const flow::Message> messages,
                                       std::span<const SimTime> arrivals) {
-  // One virtual call per dispatch tick; messages accumulate in wire order
-  // with their own arrival stamps, exactly as the per-message path would.
-  const std::uint64_t t0 = NowNs();
-  const std::uint64_t accumulate0 = serial_accumulate_ns_;
-  for (std::size_t i = 0; i < messages.size(); ++i) {
-    DeliverOne(messages[i], arrivals[i]);
-  }
-  const std::uint64_t total = NowNs() - t0;
-  const std::uint64_t accumulate = serial_accumulate_ns_ - accumulate0;
-  serial_bookkeeping_ns_ += total > accumulate ? total - accumulate : 0;
+  DeliverEach(messages, arrivals);
 }
 
 void AggregationService::DeliverDecodedBatch(
     std::span<const flow::DecodedUpdate> updates,
     std::span<const SimTime> arrivals) {
+  DeliverEach(updates, arrivals);
+}
+
+template <typename Item>
+void AggregationService::DeliverEach(std::span<const Item> items,
+                                     std::span<const SimTime> arrivals) {
+  // One virtual call per dispatch tick; messages are admitted in wire order
+  // with their own arrival stamps, exactly as the per-message path would.
   const std::uint64_t t0 = NowNs();
   const std::uint64_t accumulate0 = serial_accumulate_ns_;
-  for (std::size_t i = 0; i < updates.size(); ++i) {
-    DeliverDecodedOne(updates[i], arrivals[i]);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    DeliverOne(items[i], arrivals[i]);
   }
   const std::uint64_t total = NowNs() - t0;
   const std::uint64_t accumulate = serial_accumulate_ns_ - accumulate0;
@@ -129,59 +129,36 @@ void AggregationService::DeliverDecodedBatch(
 
 void AggregationService::DeliverOne(const flow::Message& message,
                                     SimTime arrival) {
-  if (stopped_) return;
-  ++messages_received_;
-
-  // Staleness filter: only updates trained against the current global
-  // model round are admitted when configured (Fig. 9 round semantics).
-  if (config_.reject_stale && message.round != history_.size()) {
-    ++stale_rejections_;
-    return;
-  }
-
-  // The message carries only a reference; the model lives in storage.
-  // kNotFound is a decode failure (the payload is semantically gone, e.g.
-  // reclaimed); any other store error is an I/O fault and books separately.
-  auto blob = storage_.Get(message.payload);
-  if (!blob.ok()) {
-    if (blob.error().code() != ErrorCode::kNotFound) {
-      ++store_errors_;
-      SIMDC_LOG(kWarn, "AggregationService")
-          << "store error serving payload for " << message.id.ToString()
-          << ": " << blob.error().ToString();
-      return;
-    }
-    ++decode_failures_;
-    SIMDC_LOG(kWarn, "AggregationService")
-        << "missing payload blob for " << message.id.ToString() << ": "
-        << blob.error().ToString();
-    return;
-  }
-  auto model = ml::LrModel::FromBytes(*blob);
-  if (!model.ok()) {
-    ++decode_failures_;
-    SIMDC_LOG(kWarn, "AggregationService")
-        << "undecodable model from " << message.device.ToString() << ": "
-        << model.error().ToString();
-    return;
-  }
-  Accumulate(*model, message, arrival);
+  // The message carries only a reference; the model lives in storage and
+  // is fetched only for admitted messages.
+  if (Admit(message)) Commit(decoder_.Decode(message), arrival);
 }
 
-void AggregationService::DeliverDecodedOne(const flow::DecodedUpdate& update,
-                                           SimTime arrival) {
-  if (stopped_) return;
+void AggregationService::DeliverOne(const flow::DecodedUpdate& update,
+                                    SimTime arrival) {
+  if (Admit(update.message)) Commit(update, arrival);
+}
+
+bool AggregationService::Admit(const flow::Message& message) {
+  if (stopped_) return false;
   ++messages_received_;
-
-  // Same admission order as the legacy plane: staleness verdict FIRST,
-  // then the deferred decode failure commits — a stale update with a bad
-  // payload is a stale rejection, never a decode failure.
-  if (config_.reject_stale && update.message.round != history_.size()) {
+  // Staleness filter: only updates trained against the current global
+  // model round are admitted when configured (Fig. 9 round semantics).
+  // The verdict comes before any failure accounting — a stale update with
+  // a bad payload is a stale rejection, never a decode failure.
+  if (config_.reject_stale && message.round != history_.size()) {
     ++stale_rejections_;
-    return;
+    return false;
   }
+  return true;
+}
 
+void AggregationService::Commit(const flow::DecodedUpdate& update,
+                                SimTime arrival) {
   if (!update.decoded()) {
+    // kMissingBlob (the store answered kNotFound, e.g. a reclaimed
+    // payload) and kUndecodable are decode failures; any other store error
+    // is an I/O fault and books separately.
     if (update.failure == flow::DecodedUpdate::Failure::kStoreError) {
       ++store_errors_;
       SIMDC_LOG(kWarn, "AggregationService")
@@ -201,61 +178,26 @@ void AggregationService::DeliverDecodedOne(const flow::DecodedUpdate& update,
     }
     return;
   }
-  if (config_.aggregate_plane == AggregatePlane::kPartialSum) {
-    AccumulateDecoded(update, arrival);
-  } else {
-    Accumulate(*update.model, update.message, arrival);
-  }
-}
-
-void AggregationService::Accumulate(const ml::LrModel& model,
-                                    const flow::Message& message,
-                                    SimTime arrival) {
-  const std::size_t samples =
-      message.sample_count > 0 ? message.sample_count : 1;
-  const std::uint64_t t0 = NowNs();
-  const Status added = aggregator_.Add(model, samples);
-  serial_accumulate_ns_ += NowNs() - t0;
-  if (!added.ok()) {
-    // Dimension mismatch — the decode "succeeded" but the model is
-    // unusable; both planes book it as a decode failure here.
-    ++decode_failures_;
-    return;
-  }
-
-  if (config_.trigger == AggregationTrigger::kSampleThreshold &&
-      aggregator_.total_samples() >= config_.sample_threshold) {
-    // The triggering message's arrival is the round's timestamp. In the
-    // per-message path arrival == loop time here; in a batched tick the
-    // loop clock sits at the tick start, so the explicit stamp keeps both
-    // paths bit-identical.
-    AggregateAt(std::max(arrival, loop_.Now()));
-  }
-}
-
-void AggregationService::AccumulateDecoded(const flow::DecodedUpdate& update,
-                                           SimTime arrival) {
-  const std::size_t samples =
-      update.message.sample_count > 0 ? update.message.sample_count : 1;
-  // The legacy plane's Add rejects dimension mismatches and books them as
-  // decode failures at this point in the delivery order; hoisting the
-  // check to admission keeps the counter sequence identical while the
-  // O(dim) work is deferred. (Zero samples cannot reach Add: the floor
-  // above is 1.)
+  // A wrong-dimension model decoded but is unusable: a decode failure,
+  // booked here in delivery order so the O(dim) add can be deferred.
   if (update.model->dim() != config_.model_dim) {
     ++decode_failures_;
     return;
   }
+  const std::size_t samples =
+      update.message.sample_count > 0 ? update.message.sample_count : 1;
   pending_.push_back({update.model, samples});
   staged_samples_ += samples;
   ++staged_clients_;
 
+  // The triggering message's arrival is the round's timestamp: the round
+  // closes on the crossing message, mid-batch if need be, so later
+  // messages in the tick see the advanced round for their staleness
+  // verdicts. In the per-message path arrival == loop time here; in a
+  // batched tick the loop clock sits at the tick start.
   if (config_.trigger == AggregationTrigger::kSampleThreshold &&
-      pending_samples() >= config_.sample_threshold) {
-    // Same trigger point as the legacy plane — the round closes on the
-    // crossing message, mid-batch if need be, so later messages in the
-    // tick see the advanced round for their staleness verdicts.
-    AggregateAt(std::max(arrival, loop_.Now()));
+      pending_samples() >= config_.sample_threshold &&
+      AggregateAt(std::max(arrival, loop_.Now()))) {
     return;
   }
   if (pending_.size() >= kFlushCap) FlushPending();
@@ -324,11 +266,10 @@ AggregationSnapshot AggregationService::Snapshot() const {
   s.global_weights.assign(global_model_.weights().begin(),
                           global_model_.weights().end());
   s.global_bias = global_model_.bias();
-  // Canonical accumulator view: staged-but-unflushed updates (partial-sum
-  // plane) are folded serially into a copy, so the snapshot is a total
-  // function of the service on either plane and never references payload
-  // models. At quiescent boundaries (where checkpoints are cut) pending_
-  // is empty and this is a plain copy.
+  // Canonical accumulator view: staged-but-unflushed updates are folded
+  // serially into a copy, so the snapshot is a total function of the
+  // service and never references payload models. At quiescent boundaries
+  // (where checkpoints are cut) pending_ is empty and this is a plain copy.
   ml::FedAvgAggregator merged = aggregator_;
   for (const StagedUpdate& staged : pending_) {
     const Status added = merged.Add(*staged.model, staged.samples);

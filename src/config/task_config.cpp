@@ -302,6 +302,10 @@ Result<ExecutionConfig> LoadExecution(const IniDocument& doc) {
     if (*parallelism < 0) {
       return InvalidArgument("[execution] parallelism must be >= 0");
     }
+    if (static_cast<std::uint64_t>(*parallelism) > kMaxParallelism) {
+      return InvalidArgument("[execution] parallelism must be <= " +
+                             std::to_string(kMaxParallelism));
+    }
     config.parallelism = static_cast<std::size_t>(*parallelism);
   } else if (has_section && parallelism.error().code() != ErrorCode::kNotFound) {
     return parallelism.error();
@@ -327,20 +331,12 @@ Result<ExecutionConfig> LoadExecution(const IniDocument& doc) {
   } else if (has_section && plane.error().code() != ErrorCode::kNotFound) {
     return plane.error();
   }
-  if (auto agg_plane = GetString(doc, "execution", "aggregate_plane");
-      agg_plane.ok()) {
-    if (*agg_plane == "partial_sum") {
-      config.aggregate_plane = cloud::AggregatePlane::kPartialSum;
-    } else if (*agg_plane == "legacy") {
-      config.aggregate_plane = cloud::AggregatePlane::kLegacy;
-    } else {
-      return InvalidArgument(
-          "[execution] aggregate_plane must be 'partial_sum' or 'legacy', "
-          "got '" +
-          *agg_plane + "'");
-    }
-  } else if (has_section && agg_plane.error().code() != ErrorCode::kNotFound) {
-    return agg_plane.error();
+  if (GetString(doc, "execution", "aggregate_plane").ok()) {
+    // Unknown keys are otherwise ignored; a spec that still selects the
+    // removed plane must not silently run something else.
+    return InvalidArgument(
+        "[execution] aggregate_plane was removed: every delivery runs the "
+        "staged partial-sum aggregation; delete the key");
   }
   if (auto codec = GetString(doc, "execution", "payload_codec"); codec.ok()) {
     const std::string name = Lower(*codec);

@@ -93,6 +93,10 @@ Result<flow::DispatchStrategy> LoadStrategy(const IniDocument& doc);
 Result<cloud::AggregationConfig> LoadAggregation(const IniDocument& doc,
                                                  std::uint32_t model_dim);
 
+/// Ceiling on [execution] parallelism: a spec may not ask for more worker
+/// threads than this (thread creation past the OS limit would abort).
+inline constexpr std::size_t kMaxParallelism = 256;
+
 /// Execution knobs from the optional [execution] section.
 struct ExecutionConfig {
   /// Worker threads for CPU-bound local training: 0 = inherit the
@@ -111,13 +115,6 @@ struct ExecutionConfig {
   /// reference). Bit-identical results either way
   /// (FlExperimentConfig::decode_plane semantics).
   flow::DecodePlane decode_plane = flow::DecodePlane::kDecoded;
-  /// Aggregation plane of the decoded delivery path: partial_sum (default
-  /// — admitted updates accumulate into per-lane partial FedAvg
-  /// aggregators on the worker pool, merged in fixed ascending order) or
-  /// legacy (every O(dim) add runs inline in the serial handler; the
-  /// parity-test reference). Bit-identical results either way
-  /// (FlExperimentConfig::aggregate_plane semantics).
-  cloud::AggregatePlane aggregate_plane = cloud::AggregatePlane::kPartialSum;
   /// Wire precision for device→cloud update payloads: fp32 (default —
   /// bit-identical to the historical format), fp16 (~2× smaller), or int8
   /// (per-tensor scale, ~4× smaller). Quantized payloads trade a bounded
@@ -149,12 +146,13 @@ struct ExecutionConfig {
 };
 
 /// Reads [execution] (parallelism = N, shards = N,
-/// decode_plane = decoded|legacy, aggregate_plane = partial_sum|legacy,
-/// payload_codec = fp32|fp16|int8,
+/// decode_plane = decoded|legacy, payload_codec = fp32|fp16|int8,
 /// reclaim_payload_blobs = 0|1, durability = off|log|log+checkpoint,
 /// durability_dir = path, round_quorum = N, round_deadline_s = S,
 /// round_extension_s = S, max_round_extensions = N). A missing section or
-/// key yields the defaults; malformed or negative values are rejected.
+/// key yields the defaults; malformed or negative values, parallelism
+/// above kMaxParallelism, and the removed aggregate-plane selector key
+/// are rejected with InvalidArgument.
 Result<ExecutionConfig> LoadExecution(const IniDocument& doc);
 
 /// Reads the optional [behavior] section into a device::BehaviorConfig

@@ -40,9 +40,8 @@ TaskRuntime::TaskRuntime(sim::EventLoop& loop,
   agg.round_deadline = config_.round_deadline;
   agg.round_extension = config_.round_extension;
   agg.max_round_extensions = config_.max_round_extensions;
-  agg.aggregate_plane = config_.aggregate_plane;
   service_ = std::make_unique<cloud::AggregationService>(loop_, storage_, agg);
-  // The partial-sum flush borrows the training pool; with parallelism 1
+  // The staged-update flush borrows the training pool; with parallelism 1
   // there is no pool and the flush accumulates serially (bit-identical).
   service_->set_thread_pool(pool_);
 

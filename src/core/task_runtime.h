@@ -105,22 +105,10 @@ struct FlExperimentConfig {
   /// honesty: the win needs cores — on a single-core machine a sharded
   /// decoded run pays ~25-35% over kLegacy (channel buffering plus
   /// allocator/mutex traffic from the pool-advanced decode with no
-  /// parallelism to amortize it; fig8_decoded_shards_* measures this), so
-  /// pin kLegacy for single-core batch farms if wall time there matters.
+  /// parallelism to amortize it; fig8_partial_shards_* against
+  /// fig8_shards_* measures this), so pin kLegacy for single-core batch
+  /// farms if wall time there matters.
   flow::DecodePlane decode_plane = flow::DecodePlane::kDecoded;
-  /// Aggregation plane of the decoded delivery path (spec:
-  /// [execution] aggregate_plane = partial_sum | legacy). kPartialSum
-  /// (default) stages admitted updates in O(1) at the serial side and
-  /// accumulates them into per-lane partial FedAvg aggregators on the
-  /// training pool, merged in fixed ascending-lane order — cutting the
-  /// serial accumulate per round from O(msgs·dim) to O(lanes·dim).
-  /// Bit-identical to kLegacy at every shard width and parallelism: the
-  /// FedAvg cascade is order-invariant (ml/fedavg.h), so regrouping the
-  /// sum is invisible in published models, counters and snapshots.
-  /// kLegacy runs every O(dim) add inline in the delivery handler; the
-  /// knob is inert on decode_plane = kLegacy, which always accumulates
-  /// inline.
-  cloud::AggregatePlane aggregate_plane = cloud::AggregatePlane::kPartialSum;
   /// Wire precision of device→cloud update payload blobs (spec:
   /// [execution] payload_codec = fp32 | fp16 | int8). kFp32 (default)
   /// keeps the historical format bit-for-bit, so results match the

@@ -2,6 +2,7 @@
 // aggregation service with both triggers and both payload planes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstring>
@@ -810,11 +811,14 @@ TEST_F(AggregationTest, MaxRoundsHonored) {
   EXPECT_EQ(service.rounds_completed(), 2u);
 }
 
-// ---------- Partial-sum aggregation plane ----------
+// ---------- Partial-sum aggregation (staged updates, pooled flush) ----------
 
-/// Parity suite for AggregatePlane::kPartialSum vs kLegacy on the decoded
-/// delivery path: every counter, round record, published-model bit and
-/// snapshot plane must match. Pinned by name in the CI sanitizer job.
+/// Parity suite for the service's staged partial-sum aggregation against
+/// the legacy plane's serial inline adds, reproduced here by a test-local
+/// oracle: one ml::FedAvgAggregator fed the admitted updates in delivery
+/// order. Every counter, round record, published-model bit and snapshot
+/// cascade plane must match, on every delivery path. Pinned by name in the
+/// CI sanitizer and TSan jobs.
 class AggregationPartialSumTest : public AggregationTest {
  protected:
   struct Outcome {
@@ -830,20 +834,131 @@ class AggregationPartialSumTest : public AggregationTest {
     AggregationSnapshot snapshot;
   };
 
-  static void DeliverDecoded(AggregationService& service, BlobStore& store,
-                             const std::vector<flow::Message>& messages,
-                             const std::vector<SimTime>& arrivals) {
-    BlobModelDecoder decoder(store);
-    std::vector<flow::DecodedUpdate> updates;
-    updates.reserve(messages.size());
-    for (const auto& message : messages) {
-      updates.push_back(decoder.Decode(message));
+  /// Sample-threshold aggregation the legacy way: fetch, decode and add
+  /// each admitted update inline, closing a round on the crossing update.
+  class SerialOracle {
+   public:
+    SerialOracle(const BlobStore& store, std::size_t sample_threshold,
+                 bool reject_stale)
+        : store_(store),
+          threshold_(sample_threshold),
+          reject_stale_(reject_stale),
+          aggregator_(kDim),
+          global_(kDim) {}
+
+    void Deliver(const flow::Message& message, SimTime arrival) {
+      ++out_.received;
+      if (reject_stale_ && message.round != out_.history.size()) {
+        ++out_.stale_rejections;
+        return;
+      }
+      auto blob = store_.Get(message.payload);
+      if (!blob.ok()) {
+        if (blob.error().code() == ErrorCode::kNotFound) {
+          ++out_.decode_failures;
+        } else {
+          ++out_.store_errors;
+        }
+        return;
+      }
+      auto model = ml::LrModel::FromBytes(*blob);
+      if (!model.ok() ||
+          !aggregator_
+               .Add(*model, std::max<std::size_t>(1, message.sample_count))
+               .ok()) {
+        ++out_.decode_failures;
+        return;
+      }
+      if (aggregator_.total_samples() >= threshold_) AggregateAt(arrival);
     }
-    service.DeliverDecodedBatch(updates, arrivals);
+
+    void AggregateAt(SimTime when) {
+      auto model = aggregator_.Aggregate();
+      ASSERT_TRUE(model.ok());
+      AggregationRecord record;
+      record.round = out_.history.size() + 1;
+      record.time = when;
+      record.clients = aggregator_.clients();
+      record.samples = aggregator_.total_samples();
+      out_.history.push_back(record);
+      global_ = std::move(*model);
+      aggregator_.Reset();
+    }
+
+    Outcome Capture() const {
+      Outcome out = out_;
+      out.weights.assign(global_.weights().begin(), global_.weights().end());
+      out.bias = global_.bias();
+      out.pending_samples = aggregator_.total_samples();
+      out.pending_clients = aggregator_.clients();
+      AggregationSnapshot& s = out.snapshot;
+      s.accumulator.assign(aggregator_.accumulator().begin(),
+                           aggregator_.accumulator().end());
+      s.accumulator_c1.assign(aggregator_.compensation1().begin(),
+                              aggregator_.compensation1().end());
+      s.accumulator_c2.assign(aggregator_.compensation2().begin(),
+                              aggregator_.compensation2().end());
+      s.bias_accumulator = aggregator_.bias_accumulator();
+      s.bias_accumulator_c1 = aggregator_.bias_compensation1();
+      s.bias_accumulator_c2 = aggregator_.bias_compensation2();
+      s.accumulator_samples = aggregator_.total_samples();
+      s.accumulator_clients = aggregator_.clients();
+      return out;
+    }
+
+   private:
+    const BlobStore& store_;
+    std::size_t threshold_;
+    bool reject_stale_;
+    ml::FedAvgAggregator aggregator_;
+    ml::LrModel global_;
+    Outcome out_;
+  };
+
+  Outcome Oracle(const BlobStore& store,
+                 const std::vector<flow::Message>& messages,
+                 const std::vector<SimTime>& arrivals,
+                 std::size_t sample_threshold, bool reject_stale = false) {
+    SerialOracle oracle(store, sample_threshold, reject_stale);
+    for (std::size_t i = 0; i < messages.size(); ++i) {
+      oracle.Deliver(messages[i], arrivals[i]);
+    }
+    return oracle.Capture();
+  }
+
+  /// The three ways a stream reaches the service.
+  enum class Path { kDeliver, kDeliverBatch, kDecodedBatch };
+  static constexpr Path kPaths[] = {Path::kDeliver, Path::kDeliverBatch,
+                                    Path::kDecodedBatch};
+
+  static void DeliverVia(Path path, AggregationService& service,
+                         const BlobStore& store,
+                         const std::vector<flow::Message>& messages,
+                         const std::vector<SimTime>& arrivals) {
+    switch (path) {
+      case Path::kDeliver:
+        for (std::size_t i = 0; i < messages.size(); ++i) {
+          service.Deliver(messages[i], arrivals[i]);
+        }
+        return;
+      case Path::kDeliverBatch:
+        service.DeliverBatch(messages, arrivals);
+        return;
+      case Path::kDecodedBatch: {
+        BlobModelDecoder decoder(store);
+        std::vector<flow::DecodedUpdate> updates;
+        updates.reserve(messages.size());
+        for (const auto& message : messages) {
+          updates.push_back(decoder.Decode(message));
+        }
+        service.DeliverDecodedBatch(updates, arrivals);
+        return;
+      }
+    }
   }
 
   Outcome Run(BlobStore& store, const std::vector<flow::Message>& messages,
-              const std::vector<SimTime>& arrivals, AggregatePlane plane,
+              const std::vector<SimTime>& arrivals, Path path,
               ThreadPool* pool, std::size_t sample_threshold,
               bool reject_stale = false) {
     AggregationConfig config;
@@ -851,10 +966,9 @@ class AggregationPartialSumTest : public AggregationTest {
     config.trigger = AggregationTrigger::kSampleThreshold;
     config.sample_threshold = sample_threshold;
     config.reject_stale = reject_stale;
-    config.aggregate_plane = plane;
     AggregationService service(loop_, store, config);
     service.set_thread_pool(pool);
-    DeliverDecoded(service, store, messages, arrivals);
+    DeliverVia(path, service, store, messages, arrivals);
     return Capture(service);
   }
 
@@ -883,6 +997,7 @@ class AggregationPartialSumTest : public AggregationTest {
     EXPECT_EQ(a.pending_clients, b.pending_clients);
     ASSERT_EQ(a.history.size(), b.history.size());
     for (std::size_t r = 0; r < a.history.size(); ++r) {
+      EXPECT_EQ(a.history[r].round, b.history[r].round);
       EXPECT_EQ(a.history[r].time, b.history[r].time);
       EXPECT_EQ(a.history[r].clients, b.history[r].clients);
       EXPECT_EQ(a.history[r].samples, b.history[r].samples);
@@ -904,7 +1019,8 @@ class AggregationPartialSumTest : public AggregationTest {
   }
 
   /// Mixed stream: valid updates with varying magnitudes, a corrupt blob,
-  /// a missing blob, a wrong-dimension model, threshold crossings.
+  /// a missing blob, a blob the store fails to serve, a wrong-dimension
+  /// model, threshold crossings.
   void BuildAdversarialStream(BlobStore& store, std::size_t valid_count,
                               std::vector<flow::Message>& messages,
                               std::vector<SimTime>& arrivals) {
@@ -925,6 +1041,12 @@ class AggregationPartialSumTest : public AggregationTest {
         corrupt.payload = store.Put(Bytes({1, 2, 3}));
         corrupt.sample_count = 4;
         push(corrupt);
+        const flow::Message faulted = Upload(store, 5.0f, 4, id);
+        store.set_read_fault_hook([payload = faulted.payload](BlobId blob) {
+          return blob == payload ? Unavailable("injected read fault")
+                                 : Status::Ok();
+        });
+        push(faulted);
       }
       if (k == valid_count / 2) {
         flow::Message missing;
@@ -951,39 +1073,65 @@ TEST_F(AggregationPartialSumTest, MatchesLegacyPlaneAcrossFailuresAndRounds) {
   std::vector<SimTime> arrivals;
   BuildAdversarialStream(store, 60, messages, arrivals);
   // Threshold 40 closes several rounds mid-batch; the tail stays pending.
-  const auto legacy = Run(store, messages, arrivals, AggregatePlane::kLegacy,
-                          /*pool=*/nullptr, /*sample_threshold=*/40);
-  const auto partial =
-      Run(store, messages, arrivals, AggregatePlane::kPartialSum,
-          /*pool=*/nullptr, /*sample_threshold=*/40);
-  EXPECT_GT(legacy.history.size(), 1u);
-  EXPECT_GT(legacy.decode_failures, 0u);
-  EXPECT_GT(legacy.pending_clients, 0u);  // staged tail visible on both
-  ExpectIdentical(legacy, partial);
+  // Under reject_stale the round-0 messages after the first close are
+  // stale, bad payloads among them — admission order becomes observable.
+  for (const bool reject_stale : {false, true}) {
+    const std::size_t read0 = store.bytes_read();
+    const auto oracle = Oracle(store, messages, arrivals,
+                               /*sample_threshold=*/40, reject_stale);
+    const std::size_t oracle_read = store.bytes_read() - read0;
+    EXPECT_GT(oracle.history.size(), 0u);
+    if (reject_stale) {
+      // Every bad payload arrives after the first close: all stale.
+      EXPECT_GT(oracle.stale_rejections, 0u);
+      EXPECT_EQ(oracle.decode_failures + oracle.store_errors, 0u);
+    } else {
+      EXPECT_GT(oracle.history.size(), 1u);
+      EXPECT_GT(oracle.decode_failures, 0u);
+      EXPECT_GT(oracle.store_errors, 0u);
+      EXPECT_GT(oracle.pending_clients, 0u);  // staged tail visible
+    }
+    for (const Path path : kPaths) {
+      SCOPED_TRACE("path " + std::to_string(static_cast<int>(path)) +
+                   " reject_stale " + std::to_string(reject_stale));
+      const std::size_t before = store.bytes_read();
+      ExpectIdentical(oracle, Run(store, messages, arrivals, path,
+                                  /*pool=*/nullptr, /*sample_threshold=*/40,
+                                  reject_stale));
+      // Undecoded paths fetch only admitted messages, as the oracle does;
+      // the decoded path's upstream decode is speculative by design.
+      if (path != Path::kDecodedBatch) {
+        EXPECT_EQ(store.bytes_read() - before, oracle_read);
+      }
+    }
+  }
 }
 
 TEST_F(AggregationPartialSumTest, ParallelFlushMatchesLegacyBitForBit) {
   // The pool path: per-lane partials accumulated by ParallelFor and merged
-  // ascending must publish the same bits as the serial legacy adds. More
-  // messages than the flush cap (256) so capacity flushes happen too.
+  // ascending must publish the same bits as the serial oracle. At ~4
+  // samples per update a 1500-sample round spans more than the flush cap
+  // (256) of staged updates, so capacity flushes happen before the close.
   BlobStore store;
   std::vector<flow::Message> messages;
   std::vector<SimTime> arrivals;
   BuildAdversarialStream(store, 600, messages, arrivals);
   ThreadPool pool(4);
-  const auto legacy = Run(store, messages, arrivals, AggregatePlane::kLegacy,
-                          /*pool=*/nullptr, /*sample_threshold=*/900);
-  const auto partial =
-      Run(store, messages, arrivals, AggregatePlane::kPartialSum, &pool,
-          /*sample_threshold=*/900);
-  EXPECT_GT(legacy.history.size(), 0u);
-  ExpectIdentical(legacy, partial);
+  const auto oracle =
+      Oracle(store, messages, arrivals, /*sample_threshold=*/1500);
+  ASSERT_GT(oracle.history.size(), 0u);
+  EXPECT_GT(oracle.history[0].clients, 256u);
+  for (const Path path : kPaths) {
+    SCOPED_TRACE("path " + std::to_string(static_cast<int>(path)));
+    ExpectIdentical(oracle, Run(store, messages, arrivals, path, &pool,
+                                /*sample_threshold=*/1500));
+  }
 }
 
 TEST_F(AggregationPartialSumTest, MidRoundSnapshotRestoreContinuesIdentically) {
   // Cut a snapshot while updates are staged (no flush yet), restore into a
-  // fresh partial-plane service, deliver the rest: the recovered run must
-  // publish the same bits as the uninterrupted legacy run.
+  // fresh service, deliver the rest: the recovered run must publish the
+  // same bits as the uninterrupted serial oracle.
   BlobStore store;
   std::vector<flow::Message> messages;
   std::vector<SimTime> arrivals;
@@ -1002,58 +1150,58 @@ TEST_F(AggregationPartialSumTest, MidRoundSnapshotRestoreContinuesIdentically) {
   config.model_dim = kDim;
   config.trigger = AggregationTrigger::kSampleThreshold;
   config.sample_threshold = 500;  // nothing closes: all staged
-  config.aggregate_plane = AggregatePlane::kPartialSum;
 
-  AggregationService first(loop_, store, config);
-  DeliverDecoded(first, store, head, head_arrivals);
-  EXPECT_GT(first.pending_clients(), 0u);
-  const AggregationSnapshot snapshot = first.Snapshot();
+  SerialOracle oracle(store, config.sample_threshold, false);
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    oracle.Deliver(messages[i], arrivals[i]);
+  }
+  oracle.AggregateAt(loop_.Now());
 
-  AggregationService recovered(loop_, store, config);
-  recovered.RestoreSnapshot(snapshot);
-  EXPECT_EQ(recovered.pending_clients(), first.pending_clients());
-  DeliverDecoded(recovered, store, tail, tail_arrivals);
-  EXPECT_TRUE(recovered.AggregateNow());
+  for (const Path path : kPaths) {
+    SCOPED_TRACE("path " + std::to_string(static_cast<int>(path)));
+    AggregationService first(loop_, store, config);
+    DeliverVia(path, first, store, head, head_arrivals);
+    EXPECT_GT(first.pending_clients(), 0u);
+    const AggregationSnapshot snapshot = first.Snapshot();
 
-  AggregationConfig legacy_config = config;
-  legacy_config.aggregate_plane = AggregatePlane::kLegacy;
-  AggregationService uninterrupted(loop_, store, legacy_config);
-  DeliverDecoded(uninterrupted, store, messages, arrivals);
-  EXPECT_TRUE(uninterrupted.AggregateNow());
-
-  ExpectIdentical(Capture(uninterrupted), Capture(recovered));
+    AggregationService recovered(loop_, store, config);
+    recovered.RestoreSnapshot(snapshot);
+    EXPECT_EQ(recovered.pending_clients(), first.pending_clients());
+    DeliverVia(path, recovered, store, tail, tail_arrivals);
+    EXPECT_TRUE(recovered.AggregateNow());
+    ExpectIdentical(oracle.Capture(), Capture(recovered));
+  }
 }
 
 TEST_F(AggregationPartialSumTest, QuorumAndAbortSeeStagedUpdates) {
   // The deadline policy must read the combined (flushed + staged) totals:
   // a quorum met purely by staged updates commits, and an abort discards
-  // the staged entries — identically on both planes.
-  for (const AggregatePlane plane :
-       {AggregatePlane::kPartialSum, AggregatePlane::kLegacy}) {
+  // the staged entries — on undecoded and decoded deliveries alike.
+  for (const Path path : kPaths) {
+    SCOPED_TRACE("path " + std::to_string(static_cast<int>(path)));
     sim::EventLoop loop;
     BlobStore store;
     AggregationConfig config;
     config.model_dim = kDim;
     config.trigger = AggregationTrigger::kSampleThreshold;
     config.sample_threshold = 1000000;  // rounds close only via deadline
-    config.aggregate_plane = plane;
     config.round_quorum = 2;
     config.round_deadline = Seconds(10.0);
     config.max_round_extensions = 0;
     AggregationService service(loop, store, config);
     service.OnRoundOpened(0);
     loop.ScheduleAt(Seconds(1.0), [&] {
-      DeliverDecoded(service, store,
-                     {Upload(store, 1.0f, 3, 1), Upload(store, 3.0f, 5, 2)},
-                     {Seconds(1.0), Seconds(1.0)});
+      DeliverVia(path, service, store,
+                 {Upload(store, 1.0f, 3, 1), Upload(store, 3.0f, 5, 2)},
+                 {Seconds(1.0), Seconds(1.0)});
     });
     loop.RunUntil(Seconds(11.0));
     // Two staged clients met the quorum at the deadline: degraded commit.
-    ASSERT_EQ(service.rounds_completed(), 1u) << "plane "
-                                              << static_cast<int>(plane);
+    ASSERT_EQ(service.rounds_completed(), 1u);
     EXPECT_EQ(service.deadline_commits(), 1u);
     EXPECT_EQ(service.history()[0].clients, 2u);
     EXPECT_EQ(service.history()[0].samples, 8u);
+    EXPECT_EQ(service.global_model().weights()[0], 2.25f);  // (3 + 15) / 8
     EXPECT_EQ(service.pending_samples(), 0u);
 
     // Next round: one staged update below quorum, no extensions -> abort
@@ -1062,8 +1210,8 @@ TEST_F(AggregationPartialSumTest, QuorumAndAbortSeeStagedUpdates) {
     service.set_on_round_aborted([&](SimTime) { aborted = true; });
     service.OnRoundOpened(Seconds(11.0));
     loop.ScheduleAt(Seconds(12.0), [&] {
-      DeliverDecoded(service, store, {Upload(store, 2.0f, 4, 3)},
-                     {Seconds(12.0)});
+      DeliverVia(path, service, store, {Upload(store, 2.0f, 4, 3)},
+                 {Seconds(12.0)});
     });
     loop.RunUntil(Seconds(30.0));
     EXPECT_TRUE(aborted);

@@ -324,32 +324,35 @@ TEST(ExecutionConfigTest, ParsesDecodePlane) {
   EXPECT_FALSE(LoadExecution(*junk).ok());
 }
 
-TEST(ExecutionConfigTest, ParsesAggregatePlane) {
-  auto partial = ParseIni("[execution]\naggregate_plane = partial_sum\n");
-  ASSERT_TRUE(partial.ok());
-  auto partial_config = LoadExecution(*partial);
-  ASSERT_TRUE(partial_config.ok());
-  EXPECT_EQ(partial_config->aggregate_plane, cloud::AggregatePlane::kPartialSum);
+TEST(ExecutionConfigTest, RejectsRemovedAggregatePlaneKey) {
+  // The INI loader ignores unknown keys, so the removed plane selector is
+  // rejected by name: any value, even the one that used to be the default.
+  for (const char* value : {"partial_sum", "legacy"}) {
+    auto doc =
+        ParseIni(std::string("[execution]\naggregate_plane = ") + value + "\n");
+    ASSERT_TRUE(doc.ok());
+    auto config = LoadExecution(*doc);
+    ASSERT_FALSE(config.ok()) << value;
+    EXPECT_EQ(config.error().code(), ErrorCode::kInvalidArgument);
+    EXPECT_NE(config.error().ToString().find("aggregate_plane"),
+              std::string::npos);
+  }
+}
 
-  auto legacy =
-      ParseIni("[execution]\nshards = 4\naggregate_plane = legacy\n");
-  ASSERT_TRUE(legacy.ok());
-  auto legacy_config = LoadExecution(*legacy);
-  ASSERT_TRUE(legacy_config.ok());
-  EXPECT_EQ(legacy_config->aggregate_plane, cloud::AggregatePlane::kLegacy);
-  EXPECT_EQ(legacy_config->shards, 4u);
+TEST(ExecutionConfigTest, RejectsParallelismAboveCeiling) {
+  // Parse only: a value this large must never reach a thread pool.
+  auto doc = ParseIni("[execution]\nparallelism = 100000\n");
+  ASSERT_TRUE(doc.ok());
+  auto config = LoadExecution(*doc);
+  ASSERT_FALSE(config.ok());
+  EXPECT_EQ(config.error().code(), ErrorCode::kInvalidArgument);
 
-  // Missing key keeps the partial_sum default; junk is rejected loudly.
-  auto missing = ParseIni("[execution]\nparallelism = 2\n");
-  ASSERT_TRUE(missing.ok());
-  auto missing_config = LoadExecution(*missing);
-  ASSERT_TRUE(missing_config.ok());
-  EXPECT_EQ(missing_config->aggregate_plane,
-            cloud::AggregatePlane::kPartialSum);
-
-  auto junk = ParseIni("[execution]\naggregate_plane = serial\n");
-  ASSERT_TRUE(junk.ok());
-  EXPECT_FALSE(LoadExecution(*junk).ok());
+  auto at_ceiling = ParseIni("[execution]\nparallelism = " +
+                             std::to_string(kMaxParallelism) + "\n");
+  ASSERT_TRUE(at_ceiling.ok());
+  auto ceiling_config = LoadExecution(*at_ceiling);
+  ASSERT_TRUE(ceiling_config.ok());
+  EXPECT_EQ(ceiling_config->parallelism, kMaxParallelism);
 }
 
 TEST(ExecutionConfigTest, ParsesPayloadCodec) {

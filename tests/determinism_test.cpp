@@ -338,11 +338,12 @@ TEST(ShardedDeterminismTest, DecodedPlaneBitIdenticalToLegacyAtAllWidths) {
   }
 }
 
-TEST(ShardedDeterminismTest, PartialSumPlaneBitIdenticalToLegacyAtAllWidths) {
-  // The partial-sum aggregation plane stages decoded updates and
-  // accumulates them into per-lane partial aggregators on the worker pool,
-  // merged in fixed ascending order. Against aggregate_plane = legacy
-  // (inline serial adds), every bit of the run must be identical at every
+TEST(ShardedDeterminismTest, PartialSumPlaneBitIdenticalAcrossWidths) {
+  // The aggregation service stages admitted updates and accumulates them
+  // into per-lane partial aggregators on the worker pool, merged in fixed
+  // ascending order; which updates share a flush depends on the shard
+  // width's tick grouping and the pool width. Against the serial width-1
+  // run, every bit of the pool-flushed runs must be identical at every
   // shard width — the FedAvg cascade is order-invariant, so regrouping the
   // weighted sum is invisible. reject_stale + a sample threshold makes the
   // admission order observable (a mid-batch round close changes later
@@ -354,24 +355,17 @@ TEST(ShardedDeterminismTest, PartialSumPlaneBitIdenticalToLegacyAtAllWidths) {
   config.reject_stale = true;
   config.decode_plane = flow::DecodePlane::kDecoded;
 
-  auto legacy_config = config;
-  legacy_config.aggregate_plane = cloud::AggregatePlane::kLegacy;
-  const auto reference = RunShardedWith(dataset, legacy_config, 1);
+  const auto reference = RunShardedWith(dataset, config, 1);
   ASSERT_EQ(reference.result.rounds.size(), 3u);
   EXPECT_GT(reference.result.messages_dropped, 0u);
   EXPECT_GT(reference.stale_rejections, 0u);
 
   for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    auto partial_config = config;
-    partial_config.aggregate_plane = cloud::AggregatePlane::kPartialSum;
-    const auto partial = RunShardedWith(dataset, partial_config, shards);
-    ExpectIdentical(reference.result, partial.result, shards);
-    ExpectStatsIdentical(reference.stats, partial.stats, shards);
-    ExpectCountersIdentical(reference, partial, shards);
-    // And the legacy aggregate plane stays self-consistent at this width.
-    const auto legacy = RunShardedWith(dataset, legacy_config, shards);
-    ExpectIdentical(reference.result, legacy.result, shards);
-    ExpectCountersIdentical(reference, legacy, shards);
+    const auto pooled =
+        RunShardedWith(dataset, config, shards, /*parallelism=*/4);
+    ExpectIdentical(reference.result, pooled.result, shards);
+    ExpectStatsIdentical(reference.stats, pooled.stats, shards);
+    ExpectCountersIdentical(reference, pooled, shards);
   }
 }
 

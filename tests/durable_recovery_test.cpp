@@ -731,50 +731,31 @@ TEST(DurableRecoveryMatrixTest, AllShardWidthsAndCodecsRecoverBitIdentical) {
     for (const ml::PayloadCodec codec :
          {ml::PayloadCodec::kFp32, ml::PayloadCodec::kFp16,
           ml::PayloadCodec::kInt8}) {
-      // The aggregate-plane axis: both planes must produce the same bits
-      // as each other (order-invariant cascade) AND recover bit-identically
-      // through a mid-experiment crash.
-      const RunOutcome* cross_plane_reference = nullptr;
-      RunOutcome first_plane_outcome;
-      for (const cloud::AggregatePlane plane :
-           {cloud::AggregatePlane::kPartialSum,
-            cloud::AggregatePlane::kLegacy}) {
-        const std::string label =
-            "width=" + std::to_string(width) + " codec=" +
-            std::string(ml::ToString(codec)) + " plane=" +
-            (plane == cloud::AggregatePlane::kPartialSum ? "partial_sum"
-                                                         : "legacy");
-        SCOPED_TRACE(label);
-        FlExperimentConfig base = BaseConfig();
-        base.shards = width;
-        base.payload_codec = codec;
-        base.aggregate_plane = plane;
-        const RunOutcome reference = RunToCompletion(dataset, base);
-        ASSERT_EQ(reference.result.rounds.size(), 3u);
-        if (cross_plane_reference == nullptr) {
-          first_plane_outcome = reference;
-          cross_plane_reference = &first_plane_outcome;
-        } else {
-          ExpectOutcomeIdentical(*cross_plane_reference, reference, label);
-        }
+      const std::string label = "width=" + std::to_string(width) +
+                                " codec=" + std::string(ml::ToString(codec));
+      SCOPED_TRACE(label);
+      FlExperimentConfig base = BaseConfig();
+      base.shards = width;
+      base.payload_codec = codec;
+      const RunOutcome reference = RunToCompletion(dataset, base);
+      ASSERT_EQ(reference.result.rounds.size(), 3u);
 
-        const std::string dir = FreshDir(label);
-        FaultPlan plan;
-        plan.seed = width * 100 + static_cast<std::uint64_t>(codec);
-        plan.crash_on_append = 4;  // mid-experiment commit
-        FaultInjector faulty(plan);
-        FlExperimentConfig crash_config = base;
-        crash_config.durability.mode = DurabilityMode::kLogCheckpoint;
-        crash_config.durability.dir = dir;
-        crash_config.durability.io = &faulty;
-        ASSERT_TRUE(CrashRun(dataset, crash_config)) << "plan never fired";
+      const std::string dir = FreshDir(label);
+      FaultPlan plan;
+      plan.seed = width * 100 + static_cast<std::uint64_t>(codec);
+      plan.crash_on_append = 4;  // mid-experiment commit
+      FaultInjector faulty(plan);
+      FlExperimentConfig crash_config = base;
+      crash_config.durability.mode = DurabilityMode::kLogCheckpoint;
+      crash_config.durability.dir = dir;
+      crash_config.durability.io = &faulty;
+      ASSERT_TRUE(CrashRun(dataset, crash_config)) << "plan never fired";
 
-        FlExperimentConfig resume_config = base;
-        resume_config.durability.mode = DurabilityMode::kLogCheckpoint;
-        resume_config.durability.dir = dir;
-        const RunOutcome recovered = RecoverOrRerun(dataset, resume_config);
-        ExpectOutcomeIdentical(reference, recovered, label);
-      }
+      FlExperimentConfig resume_config = base;
+      resume_config.durability.mode = DurabilityMode::kLogCheckpoint;
+      resume_config.durability.dir = dir;
+      const RunOutcome recovered = RecoverOrRerun(dataset, resume_config);
+      ExpectOutcomeIdentical(reference, recovered, label);
     }
   }
 }
